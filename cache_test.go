@@ -10,6 +10,7 @@ package fenceplace_test
 // parallel.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,9 +18,15 @@ import (
 
 	"fenceplace"
 
-	"fenceplace/internal/mc"
 	"fenceplace/internal/progs"
 	"fenceplace/internal/store"
+	"fenceplace/internal/telemetry"
+)
+
+// The model checker's process-wide exploration counters.
+var (
+	exploreRuns   = telemetry.Default().Counter("mc.explore_runs")
+	scExploreRuns = telemetry.Default().Counter("mc.sc_explore_runs")
 )
 
 // freshControlResult builds dekker from scratch in a brand-new analyzer
@@ -35,19 +42,19 @@ func freshControlResult() *fenceplace.Result {
 func TestCertifyWarmStartsFromDiskCache(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "") // isolate from the operator's cache
 	dir := t.TempDir()
-	opt := fenceplace.CertOptions{CacheDir: dir}
+	opt := fenceplace.WithCacheDir(dir)
 
 	// Cold: the first session explores the SC side and populates the store.
 	res := freshControlResult()
-	scBefore := mc.SCExploreRuns()
-	repCold, err := fenceplace.CertifyOpt(res, nil, opt)
+	scBefore := scExploreRuns.Value()
+	repCold, err := fenceplace.CertifyCtx(context.Background(), res, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !repCold.Equivalent {
 		t.Fatalf("cold certification not SC-equivalent: %s", repCold)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 1 {
+	if d := scExploreRuns.Value() - scBefore; d != 1 {
 		t.Fatalf("cold run performed %d SC explorations, want 1", d)
 	}
 
@@ -55,16 +62,16 @@ func TestCertifyWarmStartsFromDiskCache(t *testing.T) {
 	// baseline from disk — zero SC explorations, one TSO exploration —
 	// and reach the identical verdict and SC state count.
 	res2 := freshControlResult()
-	scBefore = mc.SCExploreRuns()
-	allBefore := mc.ExploreRuns()
-	repWarm, err := fenceplace.CertifyOpt(res2, nil, opt)
+	scBefore = scExploreRuns.Value()
+	allBefore := exploreRuns.Value()
+	repWarm, err := fenceplace.CertifyCtx(context.Background(), res2, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 0 {
+	if d := scExploreRuns.Value() - scBefore; d != 0 {
 		t.Errorf("warm run performed %d SC explorations, want 0", d)
 	}
-	if d := mc.ExploreRuns() - allBefore; d != 1 {
+	if d := exploreRuns.Value() - allBefore; d != 1 {
 		t.Errorf("warm run performed %d explorations, want 1 (TSO only)", d)
 	}
 	if !repWarm.Equivalent {
@@ -91,9 +98,9 @@ func TestCertifyWarmStartsFromDiskCache(t *testing.T) {
 func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 	t.Setenv("FENCEPLACE_CACHE_DIR", "")
 	dir := t.TempDir()
-	opt := fenceplace.CertOptions{CacheDir: dir}
+	opt := fenceplace.WithCacheDir(dir)
 
-	if _, err := fenceplace.CertifyOpt(freshControlResult(), nil, opt); err != nil {
+	if _, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil, opt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,15 +124,15 @@ func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 
 	st, _ := store.Open(dir)
 	qBefore := st.Stats().Quarantined
-	scBefore := mc.SCExploreRuns()
-	rep, err := fenceplace.CertifyOpt(freshControlResult(), nil, opt)
+	scBefore := scExploreRuns.Value()
+	rep, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil, opt)
 	if err != nil {
 		t.Fatalf("certification over a corrupt cache failed: %v", err)
 	}
 	if !rep.Equivalent {
 		t.Fatalf("certification over a corrupt cache changed the verdict: %s", rep)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 1 {
+	if d := scExploreRuns.Value() - scBefore; d != 1 {
 		t.Errorf("corrupt entry did not force a re-exploration: %d SC explorations, want 1", d)
 	}
 	if d := st.Stats().Quarantined - qBefore; d != 1 {
@@ -133,11 +140,11 @@ func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 	}
 
 	// The re-exploration wrote a good entry back: the next session is warm.
-	scBefore = mc.SCExploreRuns()
-	if _, err := fenceplace.CertifyOpt(freshControlResult(), nil, opt); err != nil {
+	scBefore = scExploreRuns.Value()
+	if _, err := fenceplace.CertifyCtx(context.Background(), freshControlResult(), nil, opt); err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 0 {
+	if d := scExploreRuns.Value() - scBefore; d != 0 {
 		t.Errorf("store not repopulated after quarantine: %d SC explorations, want 0", d)
 	}
 }

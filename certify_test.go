@@ -5,6 +5,7 @@ package fenceplace_test
 // analyzer's pass session.
 
 import (
+	"context"
 	"testing"
 
 	"fenceplace"
@@ -28,9 +29,9 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 	az := fenceplace.NewAnalyzer(m.Build(pp))
 	results := az.AnalyzeAll()
 
-	before := mc.ExploreRuns()
+	before := exploreRuns.Value()
 	for _, res := range results {
-		rep, err := fenceplace.CertifyOpt(res, nil, fenceplace.CertOptions{})
+		rep, err := fenceplace.CertifyCtx(context.Background(), res, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", res.Strategy, err)
 		}
@@ -38,7 +39,7 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 			t.Fatalf("%s: not SC-equivalent: %s", res.Strategy, rep)
 		}
 	}
-	delta := mc.ExploreRuns() - before
+	delta := exploreRuns.Value() - before
 	want := int64(1 + len(results)) // one shared SC baseline + one TSO per variant
 	if delta != want {
 		t.Errorf("certifying %d variants ran %d explorations, want %d (shared baseline)",
@@ -47,11 +48,11 @@ func TestCertifyVariantsShareOneSCExploration(t *testing.T) {
 
 	// Further certifications of the same session hit the memoized baseline:
 	// exactly one more exploration (the TSO side) per call.
-	before = mc.ExploreRuns()
-	if _, err := fenceplace.CertifyOpt(results[0], nil, fenceplace.CertOptions{}); err != nil {
+	before = exploreRuns.Value()
+	if _, err := fenceplace.CertifyCtx(context.Background(), results[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if d := mc.ExploreRuns() - before; d != 1 {
+	if d := exploreRuns.Value() - before; d != 1 {
 		t.Errorf("re-certification ran %d explorations, want 1", d)
 	}
 }
@@ -67,11 +68,11 @@ func TestAnalyzerBaselineMemoized(t *testing.T) {
 	pp.Size = 1
 	az := fenceplace.NewAnalyzer(m.Build(pp))
 
-	b1, err := az.Baseline(nil, fenceplace.CertOptions{})
+	b1, err := az.BaselineCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := az.Baseline(nil, fenceplace.CertOptions{})
+	b2, err := az.BaselineCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

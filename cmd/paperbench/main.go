@@ -6,6 +6,7 @@
 //	paperbench -fig7 -fig9  # selected figures
 //	paperbench -seeds 3     # average Figure 10 over 3 simulator seeds
 //	paperbench -j 4         # analyze the corpus with 4 parallel workers
+//	paperbench -litmus      # litmus verdicts on SC and TSO (opt-in; exit 1 on UNEXPECTED)
 //
 // The evaluation is driven through the public fenceplace/corpus package,
 // which makes runs shardable across processes and machines:
@@ -29,16 +30,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 
 	"fenceplace"
 	"fenceplace/corpus"
 	"fenceplace/internal/cli"
-	"fenceplace/internal/exp"
-	"fenceplace/internal/mc"
+	"fenceplace/internal/litmus"
+	"fenceplace/internal/stats"
 	"fenceplace/internal/store"
 	"fenceplace/internal/telemetry"
+	"fenceplace/internal/tso"
 )
 
 func main() {
@@ -50,6 +53,7 @@ func main() {
 		fig9     = flag.Bool("fig9", false, "Figure 9: full fences remaining on x86-TSO")
 		fig10    = flag.Bool("fig10", false, "Figure 10: simulated execution time vs manual")
 		manual   = flag.Bool("manual", false, "manual fence counts (§5.3)")
+		litmusF  = flag.Bool("litmus", false, "litmus tests: reachable outcomes on SC and TSO vs the expected verdicts (not part of the default run)")
 		seeds    = flag.Int("seeds", 1, "simulator seeds averaged in Figure 10")
 		cert     = flag.Bool("cert", false, "certification column: model-check SC-equivalence of every placement")
 		budget   = flag.Int64("certbudget", 1<<21, "model-checker state budget per exploration")
@@ -110,10 +114,21 @@ func main() {
 		os.Exit(code)
 	}
 
-	all := !*table2 && !*fig2 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*manual && !*cert
+	all := !*table2 && !*fig2 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*manual && !*cert && !*litmusF
+
+	if *litmusF {
+		ok, err := litmusTable(os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			exit(1)
+		}
+		if !ok {
+			exit(1)
+		}
+	}
 
 	if *mergeIn != "" {
-		if err := renderMerged(*mergeIn, all, *fig7, *fig8, *fig9, *fig10, *manual, *cert); err != nil {
+		if err := renderMerged(os.Stdout, *mergeIn, all, *fig7, *fig8, *fig9, *fig10, *manual, *cert); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
@@ -127,7 +142,7 @@ func main() {
 	}
 
 	if all || *table2 {
-		fmt.Println(exp.Table2())
+		fmt.Println(corpus.Table2())
 	}
 
 	// Resolve the baseline store directory exactly once, up front: the
@@ -150,7 +165,7 @@ func main() {
 		// analyzed in parallel; per row, one SC exploration serves as the
 		// baseline all four variants certify against — served from the
 		// persistent store without exploring when -cache-dir is warm.
-		rep, err := runCert(ctx, shardI, shardN, *jobs, opts, dir)
+		rep, err := runCert(ctx, os.Stdout, shardI, shardN, *jobs, opts, dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(failCode(err))
@@ -159,7 +174,7 @@ func main() {
 		certRan = true
 	}
 	if all || *fig2 {
-		fmt.Println(exp.Fig2())
+		fmt.Println(corpus.Fig2())
 	}
 	if all || *fig7 || *fig8 || *fig9 || *fig10 || *manual {
 		src := corpus.EvalSource()
@@ -176,7 +191,10 @@ func main() {
 			exit(failCode(err))
 		}
 		out = rep
-		renderFigures(rep, all, *fig7, *fig8, *fig9, *fig10, *manual)
+		if err := renderFigures(os.Stdout, rep, all, *fig7, *fig8, *fig9, *fig10, *manual); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			exit(1)
+		}
 		if certRan && *jsonOut != "" {
 			// The cert and eval reports come from different sources and
 			// cannot merge into one file; the eval report wins, loudly.
@@ -210,21 +228,25 @@ func failCode(err error) int {
 	return 1
 }
 
-// parseShard parses "i/n" (empty: unsharded, n = 0).
+// parseShard parses "i/n" (empty: unsharded, n = 0). The whole string
+// must parse: trailing input is an error, not ignored.
 func parseShard(s string) (i, n int, err error) {
 	if s == "" {
 		return 0, 0, nil
 	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil || i < 1 || n < 1 || i > n {
+	is, ns, _ := strings.Cut(s, "/")
+	i, errI := strconv.Atoi(is)
+	n, errN := strconv.Atoi(ns)
+	if errI != nil || errN != nil || i < 1 || n < 1 || i > n {
 		return 0, 0, fmt.Errorf("invalid -shard %q (want i/n with 1 <= i <= n)", s)
 	}
 	return i, n, nil
 }
 
 // runCert certifies the kernel corpus and prints the certification table
-// with its warm-vs-cold footer (SC explorations performed; store deltas
-// when a baseline cache is in play).
-func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Option, dir string) (*corpus.Report, error) {
+// to w with its warm-vs-cold footer (SC explorations performed; store
+// deltas when a baseline cache is in play).
+func runCert(ctx context.Context, w io.Writer, shardI, shardN, jobs int, opts []fenceplace.Option, dir string) (*corpus.Report, error) {
 	src := corpus.CertSource()
 	if shardN > 0 {
 		var err error
@@ -233,7 +255,8 @@ func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Op
 		}
 	}
 
-	scBefore := mc.SCExploreRuns()
+	scRuns := telemetry.Default().Counter("mc.sc_explore_runs")
+	scBefore := scRuns.Value()
 	var st *store.Store
 	var stBefore store.Stats
 	if dir != "" {
@@ -249,44 +272,79 @@ func runCert(ctx context.Context, shardI, shardN, jobs int, opts []fenceplace.Op
 	}
 	var sb strings.Builder
 	sb.WriteString(corpus.CertTable(rep))
-	fmt.Fprintf(&sb, "\nSC explorations: %d\n", mc.SCExploreRuns()-scBefore)
+	fmt.Fprintf(&sb, "\nSC explorations: %d\n", scRuns.Value()-scBefore)
 	if st != nil {
 		d := st.Stats().Sub(stBefore)
 		fmt.Fprintf(&sb, "baseline cache (%s): %d warm hits, %d cold misses, %d written, %d quarantined\n",
 			st.Dir(), d.Hits, d.Misses, d.Puts, d.Quarantined)
 	}
-	fmt.Println(sb.String())
+	fmt.Fprintln(w, sb.String())
 	return rep, nil
 }
 
-// renderFigures prints the selected report-backed tables.
-func renderFigures(rep *corpus.Report, all, fig7, fig8, fig9, fig10, manual bool) {
+// renderFigures prints the selected report-backed tables to w. A report
+// without dynamic runs cannot render Figure 10; that is an error for the
+// caller to exit on, so the telemetry cleanup still runs.
+func renderFigures(w io.Writer, rep *corpus.Report, all, fig7, fig8, fig9, fig10, manual bool) error {
 	if all || fig7 {
-		fmt.Println(corpus.Fig7(rep))
+		fmt.Fprintln(w, corpus.Fig7(rep))
 	}
 	if all || fig8 {
-		fmt.Println(corpus.Fig8(rep))
+		fmt.Fprintln(w, corpus.Fig8(rep))
 	}
 	if all || fig9 {
-		fmt.Println(corpus.Fig9(rep))
+		fmt.Fprintln(w, corpus.Fig9(rep))
 	}
 	if all || manual {
-		fmt.Println(corpus.ManualTable(rep))
+		fmt.Fprintln(w, corpus.ManualTable(rep))
 	}
 	if all || fig10 {
 		s, err := corpus.Fig10(rep)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure 10 failed: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("figure 10 failed: %w", err)
 		}
-		fmt.Println(s)
+		fmt.Fprintln(w, s)
 	}
+	return nil
+}
+
+// litmusTable explores every litmus test on the SC and TSO machines and
+// prints which outcomes are reachable; ok is false when a verdict differs
+// from the expected one.
+func litmusTable(w io.Writer) (ok bool, err error) {
+	t := stats.NewTable("test", "outcome", "SC", "TSO", "verdict")
+	ok = true
+	for _, lt := range litmus.All() {
+		sc, err := lt.Observed(tso.SC)
+		if err != nil {
+			return false, err
+		}
+		ts, err := lt.Observed(tso.TSO)
+		if err != nil {
+			return false, err
+		}
+		verdict := "ok"
+		if sc != lt.AllowedSC || ts != lt.AllowedTSO {
+			verdict = "UNEXPECTED"
+			ok = false
+		}
+		t.Add(lt.Name, lt.Desc, observed(sc), observed(ts), verdict)
+	}
+	fmt.Fprint(w, t.String())
+	return ok, nil
+}
+
+func observed(b bool) string {
+	if b {
+		return "observed"
+	}
+	return "forbidden"
 }
 
 // renderMerged loads shard reports, merges them and renders the requested
 // tables from the combined data — the cross-process half of the sharded
 // evaluation.
-func renderMerged(files string, all, fig7, fig8, fig9, fig10, manual, cert bool) error {
+func renderMerged(w io.Writer, files string, all, fig7, fig8, fig9, fig10, manual, cert bool) error {
 	var merged *corpus.Report
 	for _, name := range strings.Split(files, ",") {
 		name = strings.TrimSpace(name)
@@ -314,8 +372,7 @@ func renderMerged(files string, all, fig7, fig8, fig9, fig10, manual, cert bool)
 		return fmt.Errorf("-merge: no report files given")
 	}
 	if cert {
-		fmt.Println(corpus.CertTable(merged))
+		fmt.Fprintln(w, corpus.CertTable(merged))
 	}
-	renderFigures(merged, all, fig7, fig8, fig9, fig10, manual)
-	return nil
+	return renderFigures(w, merged, all, fig7, fig8, fig9, fig10, manual)
 }

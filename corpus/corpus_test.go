@@ -62,16 +62,9 @@ func TestShardPartition(t *testing.T) {
 // versioned JSON codec and merged, must render tables byte-identical to an
 // unsharded run — and encode to byte-identical JSON.
 func TestShardMergeIdenticalTables(t *testing.T) {
-	runner := corpus.Runner{Seeds: 1}
+	runner := corpus.Runner{Seeds: 1} // evalReport's configuration
 	ctx := context.Background()
-
-	full, err := runner.Run(ctx, corpus.EvalSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Rows) != corpus.EvalSource().Len() {
-		t.Fatalf("unsharded run produced %d rows, want %d", len(full.Rows), corpus.EvalSource().Len())
-	}
+	full := evalReport(t)
 
 	var merged *corpus.Report
 	for i := 1; i <= 2; i++ {

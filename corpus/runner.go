@@ -207,7 +207,7 @@ func (r *Runner) runOne(ctx context.Context, src Source, i int, strategies []fen
 		if err := res.Verify(); err != nil {
 			return nil, fmt.Errorf("%s/%s: fence plan verification failed: %w", name, res.Strategy, err)
 		}
-		v := VariantFromResult(res)
+		v := variantFromResult(res)
 		if err := r.finishVariant(ctx, az, &v, res.Instrumented, opts); err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, res.Strategy, err)
 		}
@@ -216,12 +216,10 @@ func (r *Runner) runOne(ctx context.Context, src Source, i int, strategies []fen
 	return row, nil
 }
 
-// VariantFromResult renders an analyzed fence-placement result as a
+// variantFromResult renders an analyzed fence-placement result as a
 // report variant: the static counts only — dynamic cycles and the
-// certification verdict are the driving harness's to add. It is the one
-// mapping from live results to report rows; every driver (this runner,
-// the experiment harness) goes through it so their tables cannot drift.
-func VariantFromResult(res *fenceplace.Result) Variant {
+// certification verdict are finishVariant's to add.
+func variantFromResult(res *fenceplace.Result) Variant {
 	kept := res.Kept()
 	return Variant{
 		Name:      res.Strategy.String(),

@@ -386,9 +386,9 @@ type CertReport = mc.Report
 //
 // Deprecated: CertOptions predates the unified Option set; use the
 // functional options (WithMaxStates, WithWorkers, WithCacheDir, …) with
-// CertifyCtx/BaselineCtx instead. It remains as an adapter — Options
-// converts — and every entry point taking it is a thin wrapper over the
-// Option-based path.
+// CertifyCtx/BaselineCtx instead. It remains, with CertifyOpt, only
+// because TestCertOptionsAdapter pins it; both retire once exploration
+// counts are deterministic at any worker count.
 type CertOptions struct {
 	MaxStates int64 // state budget per exploration; exceeded => error
 	Workers   int   // parallel exploration workers
@@ -413,32 +413,21 @@ type CertOptions struct {
 	CacheDir string
 }
 
-// EffectiveCacheDir resolves the baseline store directory the options
-// select: the explicit CacheDir, else $FENCEPLACE_CACHE_DIR, else "" (no
-// persistence). Note that it re-reads the environment on every call;
-// Options resolves the directory exactly once, which is why multi-program
-// drivers must convert once up front rather than calling this per
-// certification.
-//
-// Deprecated: resolve once via Options and WithCacheDir.
-func (o CertOptions) EffectiveCacheDir() string {
-	if o.CacheDir != "" {
-		return o.CacheDir
-	}
-	return os.Getenv("FENCEPLACE_CACHE_DIR")
-}
-
 // Options converts the deprecated struct into the unified functional-
-// option form. The cache directory is resolved (environment included)
-// exactly once, here, so the resulting options pin one store directory no
-// matter how often or late they are applied.
+// option form. The cache directory — CacheDir, else $FENCEPLACE_CACHE_DIR,
+// else none — is resolved exactly once, here, so the resulting options pin
+// one store directory no matter how often or late they are applied.
 func (o CertOptions) Options() []Option {
+	dir := o.CacheDir
+	if dir == "" {
+		dir = os.Getenv("FENCEPLACE_CACHE_DIR")
+	}
 	opts := []Option{
 		WithMaxStates(o.MaxStates),
 		WithWorkers(o.Workers),
 		WithBufferCap(o.BufferCap),
 		WithMemoryCap(o.MemoryCap),
-		WithCacheDir(o.EffectiveCacheDir()),
+		WithCacheDir(dir),
 	}
 	if o.SpillDir != "" {
 		// An unset SpillDir keeps the $FENCEPLACE_SPILL_DIR fallback alive
@@ -454,28 +443,9 @@ func (o CertOptions) Options() []Option {
 	return opts
 }
 
-// MCConfig maps the certification options onto a model-checker
-// configuration. Every exploration-shaping Config field has a CertOptions
-// counterpart, so the session-baseline path and the standalone path
-// explore identically; it is exported as the single source of this mapping
-// for tooling built on the module (the experiment harness). CacheDir is
-// deliberately absent: it routes through the baseline loader, not the
-// exploration.
-func (o CertOptions) MCConfig() mc.Config {
-	return mc.Config{
-		MaxStates: o.MaxStates,
-		Workers:   o.Workers,
-		BufferCap: o.BufferCap,
-		MemoryCap: o.MemoryCap,
-		SpillDir:  o.SpillDir,
-		ExactSeen: o.ExactSeen,
-		NoPOR:     o.NoPOR,
-	}
-}
-
 // CertBaseline is a reusable SC exploration of one program — the half of
 // a certification every fence-placement variant shares (see
-// Analyzer.Baseline and internal/mc).
+// Analyzer.BaselineCtx and internal/mc).
 type CertBaseline = mc.Baseline
 
 // ErrTruncated reports a certification whose state budget ran out; the
@@ -496,15 +466,17 @@ type InternalError = mc.InternalError
 // x86-TSO and of the original program under SC, and reports whether the
 // reachable final-state sets coincide — the paper's guarantee, decided
 // exhaustively. The program is explored from its main function; use
-// CertifyThreads for litmus-style programs without one.
+// CertifyThreads for litmus-style programs without one. It is CertifyCtx
+// with a background context and no options, so a Result produced by an
+// Analyzer certifies under the analyzer's options.
 func Certify(res *Result) (*CertReport, error) {
-	return CertifyThreads(res, nil)
+	return CertifyCtx(context.Background(), res, nil)
 }
 
 // CertifyThreads is Certify with an explicit set of flat thread functions
 // run concurrently from the initial state (the litmus configuration).
 func CertifyThreads(res *Result, threads []string) (*CertReport, error) {
-	return CertifyOpt(res, threads, CertOptions{})
+	return CertifyCtx(context.Background(), res, threads)
 }
 
 // CertifyOpt is CertifyThreads with explicit exploration options.
@@ -559,16 +531,6 @@ func CertifyCtx(ctx context.Context, res *Result, threads []string, opts ...Opti
 		return nil, err
 	}
 	return mc.CertifyAgainstCtx(ctx, base, res.Instrumented, cfg)
-}
-
-// Baseline returns the analyzer's memoized SC exploration for the given
-// entry configuration (nil threads explores from main), computing it on
-// first use — or loading it from the persistent baseline store when
-// opt.CacheDir (or $FENCEPLACE_CACHE_DIR) names one.
-//
-// Deprecated: use BaselineCtx with the unified Option set.
-func (a *Analyzer) Baseline(threads []string, opt CertOptions) (*CertBaseline, error) {
-	return a.BaselineCtx(context.Background(), threads, opt.Options()...)
 }
 
 // BaselineCtx returns the analyzer's memoized SC exploration for the given

@@ -20,6 +20,8 @@ import (
 // counters the heartbeat samples live (visited, inflight, seen) are shared
 // engine atomics.
 var (
+	// Explore invocations, all modes and SC only. Callers outside the
+	// package (tests, paperbench's footer) read them by name.
 	mExploreRuns   = telemetry.NewCounter("mc.explore_runs")
 	mSCExploreRuns = telemetry.NewCounter("mc.sc_explore_runs")
 	mStates        = telemetry.NewCounter("mc.states_visited")
@@ -191,23 +193,6 @@ func fnv1a(b []byte) uint64 {
 	}
 	return h
 }
-
-// ExploreRuns returns the cumulative number of Explore invocations in this
-// process. It exists for tests and telemetry: certifying N fence-placement
-// variants of one program against a shared Baseline must advance it by
-// exactly N+1 (one SC exploration plus one TSO exploration per variant).
-//
-// Deprecated: this is a read of the "mc.explore_runs" registry counter;
-// new code should consume telemetry.Default().Snapshot() instead.
-func ExploreRuns() int64 { return mExploreRuns.Value() }
-
-// SCExploreRuns returns the cumulative number of SC-mode Explore
-// invocations in this process — the explorations a warm baseline cache
-// exists to avoid.
-//
-// Deprecated: this is a read of the "mc.sc_explore_runs" registry counter;
-// new code should consume telemetry.Default().Snapshot() instead.
-func SCExploreRuns() int64 { return mSCExploreRuns.Value() }
 
 // newEngine builds an engine and the initial state for the given entry
 // configuration (thread functions, or the program's main when nil).

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fenceplace/internal/telemetry"
 	"fenceplace/internal/tso"
 )
 
@@ -61,19 +62,20 @@ func TestExploreMetricsMatchResult(t *testing.T) {
 	}
 }
 
-// TestDeprecatedRunCountersTrackRegistry pins the compatibility contract:
-// the deprecated ExploreRuns/SCExploreRuns reads move in lockstep with the
-// registry counters they now alias.
-func TestDeprecatedRunCountersTrackRegistry(t *testing.T) {
-	before, scBefore := ExploreRuns(), SCExploreRuns()
+// TestRunCountersByName pins the names callers outside the package read
+// the exploration counts by: "mc.explore_runs" and "mc.sc_explore_runs".
+func TestRunCountersByName(t *testing.T) {
+	runs := telemetry.Default().Counter("mc.explore_runs")
+	scRuns := telemetry.Default().Counter("mc.sc_explore_runs")
+	before, scBefore := runs.Value(), scRuns.Value()
 	if _, err := Explore(medium3(), []string{"t0", "t1", "t2"}, Config{Mode: tso.SC, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if d := ExploreRuns() - before; d != 1 {
-		t.Errorf("ExploreRuns advanced by %d, want 1", d)
+	if d := runs.Value() - before; d != 1 {
+		t.Errorf("mc.explore_runs advanced by %d, want 1", d)
 	}
-	if d := SCExploreRuns() - scBefore; d != 1 {
-		t.Errorf("SCExploreRuns advanced by %d, want 1", d)
+	if d := scRuns.Value() - scBefore; d != 1 {
+		t.Errorf("mc.sc_explore_runs advanced by %d, want 1", d)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package par holds the one worker-pool shape the analysis layers share:
 // an index fan-out with a bounded number of goroutines pulling from an
 // atomic counter. The pass session fans functions out with it and the
-// experiment harness fans corpus programs; keeping the pool in one place
+// corpus runner fans programs; keeping the pool in one place
 // keeps their semantics (capping, serial fallback, panic capture)
 // identical.
 package par

@@ -458,11 +458,10 @@ func (m *Manager) buildSpec(req *Request) (*jobSpec, error) {
 // submissions with equal keys are answer-equivalent by construction, so
 // sharing one job can never serve either of them the wrong rows.
 func coalesceKey(spec *jobSpec) string {
-	cert := fenceplace.CertOptions{
+	key := mc.BaselineKey(spec.prog, spec.entry, mc.Config{
 		MaxStates: spec.maxStates,
 		MemoryCap: spec.memoryCap,
-	}
-	key := mc.BaselineKey(spec.prog, spec.entry, cert.MCConfig())
+	})
 	var sb strings.Builder
 	sb.WriteString(key.String())
 	for _, s := range spec.strategies {

@@ -18,7 +18,13 @@ import (
 
 	"fenceplace"
 	"fenceplace/corpus"
-	"fenceplace/internal/mc"
+	"fenceplace/internal/telemetry"
+)
+
+// The model checker's process-wide exploration counters.
+var (
+	exploreRuns   = telemetry.Default().Counter("mc.explore_runs")
+	scExploreRuns = telemetry.Default().Counter("mc.sc_explore_runs")
 )
 
 // newTestManager builds a manager with a neutral environment: no ambient
@@ -93,8 +99,8 @@ func encodeRows(t *testing.T, rep *corpus.Report) []byte {
 func TestCoalescingSingleFlight(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1, MaxStatesCap: 1 << 26})
 
-	scBefore := mc.SCExploreRuns()
-	runsBefore := mc.ExploreRuns()
+	scBefore := scExploreRuns.Value()
+	runsBefore := exploreRuns.Value()
 	coalescedBefore := mCoalesced.Value()
 
 	blocker := startBlocker(t, m)
@@ -138,12 +144,12 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	// Exactly one SC exploration for the N submissions (plus the blocker's
 	// single started-then-abandoned one), and one TSO exploration for the
 	// shared job's only variant.
-	if d := mc.SCExploreRuns() - scBefore; d != 2 {
+	if d := scExploreRuns.Value() - scBefore; d != 2 {
 		t.Errorf("SC explorations advanced by %d, want 2 (blocker + one shared exploration for %d submissions)", d, N)
 	}
 	// Blocker SC + shared SC + shared TSO; the blocker may have reached its
 	// TSO pass before the release cancelled it.
-	if d := mc.ExploreRuns() - runsBefore; d != 3 && d != 4 {
+	if d := exploreRuns.Value() - runsBefore; d != 3 && d != 4 {
 		t.Errorf("explorations advanced by %d, want 3 (blocker SC + shared SC + shared TSO)", d)
 	}
 
@@ -300,7 +306,7 @@ func TestWarmCacheRestart(t *testing.T) {
 	}
 
 	// "Restart": a fresh manager over the same store directory.
-	scBefore := mc.SCExploreRuns()
+	scBefore := scExploreRuns.Value()
 	m2 := newTestManager(t, Config{Options: opts})
 	c2, _, err := m2.Submit(dekkerRequest())
 	if err != nil {
@@ -311,7 +317,7 @@ func TestWarmCacheRestart(t *testing.T) {
 	if err != nil || rep == nil {
 		t.Fatalf("warm run: (%v, %v)", rep, err)
 	}
-	if d := mc.SCExploreRuns() - scBefore; d != 0 {
+	if d := scExploreRuns.Value() - scBefore; d != 0 {
 		t.Errorf("warm restart performed %d SC explorations, want 0 (baseline must come from %s)", d, dir)
 	}
 	if st := rep.Rows[0].Variants[0].Cert.Status; st != corpus.CertCertified {

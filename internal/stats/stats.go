@@ -1,5 +1,5 @@
 // Package stats provides the small numeric and formatting helpers the
-// experiment harness uses: geometric means (the paper's §5 note: "Geometric
+// corpus table renderers use: geometric means (the paper's §5 note: "Geometric
 // mean is used for all normalized results") and plain-text tables.
 package stats
 

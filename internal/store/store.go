@@ -15,8 +15,8 @@
 // served again. Writes go through a temp file plus rename, so readers
 // (including concurrent processes sharing the directory) only ever observe
 // complete entries. A size-bounded GC evicts oldest-first, and hit/miss/
-// evict/quarantine counters feed the warm-vs-cold reporting of the
-// experiment harness and the fencecache CLI.
+// evict/quarantine counters feed the warm-vs-cold reporting of
+// paperbench and the fencecache CLI.
 //
 // All disk access routes through an fsx.FS (the real OS by default, a
 // seeded fault injector in the chaos suite), and transient failures on

@@ -15,7 +15,7 @@ import (
 // WithMaxStates none on static analysis — so one resolved option list can
 // drive a whole pipeline.
 //
-// Every knob the deprecated CertOptions struct exposed has an Option
+// Every knob of the deprecated CertOptions struct has an Option
 // counterpart; CertOptions.Options converts.
 type Option func(*config)
 
@@ -70,8 +70,7 @@ func resolve(opts []Option) config {
 }
 
 // mcConfig maps the exploration-shaping knobs onto a model-checker
-// configuration (the single source of this mapping; CertOptions.MCConfig
-// remains as the deprecated adapter's view of it).
+// configuration (the single source of this mapping).
 func (c config) mcConfig() mc.Config {
 	return mc.Config{
 		MaxStates: c.maxStates,
@@ -177,16 +176,10 @@ func WithIORetries(n int) Option {
 // Resolved returns an option list equivalent to opts with every
 // environment-derived default pinned: applying the result any number of
 // times, at any later point, yields exactly the configuration opts
-// resolves to now. Multi-program drivers (the corpus runner, the
-// experiment harness) resolve once up front so a mid-run environment
-// change cannot split one run across two baseline stores.
+// resolves to now. Multi-program drivers (the corpus runner) resolve once
+// up front so a mid-run environment change cannot split one run across
+// two baseline stores.
 func Resolved(opts ...Option) []Option {
 	c := resolve(opts)
 	return []Option{func(o *config) { *o = c }}
 }
-
-// AnalyzerOption is the historical name of Option from when analyzer
-// construction had its own option type.
-//
-// Deprecated: use Option.
-type AnalyzerOption = Option
