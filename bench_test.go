@@ -251,7 +251,7 @@ func BenchmarkManualTable(b *testing.B) {
 // BenchmarkCertify measures the certification subsystem: exhaustive
 // SC-equivalence checking of the Control placement on corpus kernels at a
 // reduced instantiation, across worker-pool sizes. The reported states/s
-// metric is total states visited (SC + TSO exploration) per second; on
+// metric is total distinct states (SC + TSO exploration) per second; on
 // multi-core machines the GOMAXPROCS configuration must beat 1 worker on
 // the medium program.
 func BenchmarkCertify(b *testing.B) {

@@ -91,14 +91,15 @@ func TestPaperTablesGolden(t *testing.T) {
 	golden(t, "fig10", fig10)
 }
 
-// TestCertTableGolden pins the certification table. One exploration worker
-// makes the visited-state counts reproducible at any GOMAXPROCS.
+// TestCertTableGolden pins the certification table, state counts
+// included, at the default worker count: a count is the number of distinct
+// states, the same at any GOMAXPROCS.
 func TestCertTableGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	runner := corpus.Runner{Certify: true, Options: []fenceplace.Option{
-		fenceplace.WithWorkers(1), fenceplace.WithMaxStates(1 << 21), fenceplace.WithCacheDir(""),
+		fenceplace.WithMaxStates(1 << 21), fenceplace.WithCacheDir(""),
 	}}
 	rep, err := runner.Run(context.Background(), corpus.CertSource())
 	if err != nil {

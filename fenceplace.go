@@ -21,7 +21,6 @@ package fenceplace
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -379,70 +378,6 @@ func RunSC(p *Program, seed int64) *RunOutcome {
 // not (see internal/mc).
 type CertReport = mc.Report
 
-// CertOptions tunes a certification run. The zero value uses the model
-// checker's defaults (GOMAXPROCS workers, 2M-state budget, partial-order
-// reduction on, fingerprint seen-sets) and no baseline persistence beyond
-// $FENCEPLACE_CACHE_DIR.
-//
-// Deprecated: CertOptions predates the unified Option set; use the
-// functional options (WithMaxStates, WithWorkers, WithCacheDir, …) with
-// CertifyCtx/BaselineCtx instead. It remains, with CertifyOpt, only
-// because TestCertOptionsAdapter pins it; both retire once exploration
-// counts are deterministic at any worker count.
-type CertOptions struct {
-	MaxStates int64 // state budget per exploration; exceeded => error
-	Workers   int   // parallel exploration workers
-	BufferCap int   // TSO store-buffer capacity modeled (default 4)
-	MemoryCap int   // memory budget in arena words (default 1<<22; <0 uncapped)
-	ExactSeen bool  // exact string-keyed seen sets (slow oracle mode)
-	NoPOR     bool  // disable partial-order reduction (cross-check oracle)
-
-	// SpillDir names the scratch area sealed seen-set runs spill to when
-	// an exploration outgrows the MemoryCap-derived seen-set budget (see
-	// WithSpillDir). Empty keeps sealed runs in RAM.
-	SpillDir string
-
-	// CacheDir names a persistent, content-addressed baseline store
-	// (internal/store): SC explorations are looked up there by canonical
-	// program+config hash before running and written back after, so
-	// repeated certification runs — across processes and machines —
-	// warm-start past the SC side entirely. Empty means the
-	// FENCEPLACE_CACHE_DIR environment variable, then no persistence.
-	// Corrupt or truncated store entries degrade to cache misses (and are
-	// quarantined); they can never yield a wrong certification.
-	CacheDir string
-}
-
-// Options converts the deprecated struct into the unified functional-
-// option form. The cache directory — CacheDir, else $FENCEPLACE_CACHE_DIR,
-// else none — is resolved exactly once, here, so the resulting options pin
-// one store directory no matter how often or late they are applied.
-func (o CertOptions) Options() []Option {
-	dir := o.CacheDir
-	if dir == "" {
-		dir = os.Getenv("FENCEPLACE_CACHE_DIR")
-	}
-	opts := []Option{
-		WithMaxStates(o.MaxStates),
-		WithWorkers(o.Workers),
-		WithBufferCap(o.BufferCap),
-		WithMemoryCap(o.MemoryCap),
-		WithCacheDir(dir),
-	}
-	if o.SpillDir != "" {
-		// An unset SpillDir keeps the $FENCEPLACE_SPILL_DIR fallback alive
-		// (resolved once, like the cache directory).
-		opts = append(opts, WithSpillDir(o.SpillDir))
-	}
-	if o.ExactSeen {
-		opts = append(opts, WithExactSeen())
-	}
-	if o.NoPOR {
-		opts = append(opts, WithNoPOR())
-	}
-	return opts
-}
-
 // CertBaseline is a reusable SC exploration of one program — the half of
 // a certification every fence-placement variant shares (see
 // Analyzer.BaselineCtx and internal/mc).
@@ -477,14 +412,6 @@ func Certify(res *Result) (*CertReport, error) {
 // run concurrently from the initial state (the litmus configuration).
 func CertifyThreads(res *Result, threads []string) (*CertReport, error) {
 	return CertifyCtx(context.Background(), res, threads)
-}
-
-// CertifyOpt is CertifyThreads with explicit exploration options.
-//
-// Deprecated: use CertifyCtx with the unified Option set; this wrapper
-// converts opt via CertOptions.Options and runs with a background context.
-func CertifyOpt(res *Result, threads []string, opt CertOptions) (*CertReport, error) {
-	return CertifyCtx(context.Background(), res, threads, opt.Options()...)
 }
 
 // CertifyCtx model-checks an analysis result under an explicit context and

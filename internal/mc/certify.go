@@ -40,8 +40,8 @@ type Report struct {
 	Equivalent  bool // TSO(instrumented) reaches exactly the SC final states
 	SCOutcomes  int
 	TSOOutcomes int
-	VisitedSC   int64       // states visited exploring the original under SC
-	VisitedTSO  int64       // states visited exploring the instrumented under TSO
+	VisitedSC   int64       // distinct states of the original under SC
+	VisitedTSO  int64       // distinct states of the instrumented under TSO
 	Missing     []string    // SC-only outcomes (engine invariant: always empty)
 	Violations  []Violation // TSO-only outcomes
 }

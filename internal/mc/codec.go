@@ -34,8 +34,11 @@ func (k Key) String() string { return fmt.Sprintf("%016x%016x", k.Hi, k.Lo) }
 // (or the semantics it captures) changes, so stale store entries become
 // unreachable instead of wrongly served. Schema 2: the default MemoryCap
 // rose from 1<<16 to 1<<22 words and negative means uncapped — both move
-// where allocations fail, so schema-1 entries must not be served.
-const keySchema = 2
+// where allocations fail, so schema-1 entries must not be served. Schema
+// 3: a stored baseline's Visited counts distinct states, where schema-2
+// entries hold expansion counts, so those must miss rather than serve the
+// old numbers.
+const keySchema = 3
 
 // BaselineKey derives the canonical key of the SC baseline of (orig,
 // threadFns, cfg). The preimage covers every input that can change the

@@ -55,9 +55,9 @@ func TestBaselineKeyGolden(t *testing.T) {
 		threads []string
 		want    string
 	}{
-		{"sb-threads", sbProgram(), []string{"t0", "t1"}, "c5b27df47b1a3c69efcd777ac7b4e8d9"},
-		{"sb-main", sbProgram(), nil, "7abb50e0905cc9c755a795a7d9dc9e22"},
-		{"spawny", spawnProgram(), nil, "7ffa828b409dba720d1d0daacf51634a"},
+		{"sb-threads", sbProgram(), []string{"t0", "t1"}, "22f0a2f83a80d6ddd66003de175a6be8"},
+		{"sb-main", sbProgram(), nil, "604b3b9534ec1b57939a285c4f8f0a04"},
+		{"spawny", spawnProgram(), nil, "bba20beb75d83376e0705742dd9ebb9f"},
 	}
 	// Regenerate the vectors with `go test -run BaselineKeyGolden -v` after
 	// an intentional keySchema bump.

@@ -17,8 +17,8 @@ import (
 // Registry metrics of the model checker. Workers accumulate plain local
 // counts (workerStats) and flush them once per exploration on their own
 // shard, so the hot loop stays free of atomics and allocations; only the
-// counters the heartbeat samples live (visited, inflight, seen) are shared
-// engine atomics.
+// counters the heartbeat samples live (seen, inflight) are shared engine
+// atomics.
 var (
 	// Explore invocations, all modes and SC only. Callers outside the
 	// package (tests, paperbench's footer) read them by name.
@@ -51,13 +51,11 @@ var (
 
 const nShards = 64 // seen-set shards; fine-grained locking for the pool
 
-// node is one frontier entry: a state plus the sleep-set context it was
-// reached with. revisit != 0 marks a re-expansion restricted to that
-// transition mask.
+// node is one frontier entry: a state plus the sleep mask to expand it
+// with (the mask the seen set stores for it).
 type node struct {
-	s       *state
-	sleep   uint32
-	revisit uint32
+	s     *state
+	sleep uint32
 }
 
 type engine struct {
@@ -74,8 +72,7 @@ type engine struct {
 	spillChs    [nSpillGroups]chan spillItem
 	spillWG     sync.WaitGroup
 
-	visited   atomic.Int64
-	seen      atomic.Int64 // distinct states inserted into the seen set
+	seen      atomic.Int64 // distinct states inserted into the seen set: Visited
 	truncated atomic.Bool
 	inflight  atomic.Int64
 	hungry    atomic.Int32
@@ -109,7 +106,6 @@ type workerCtx struct {
 // registry counters once, on the worker's own shard, when the worker
 // retires.
 type workerStats struct {
-	states       int64 // states expanded (mirrors engine.visited)
 	transitions  int64 // child transitions executed
 	sleepPrunes  int64 // states pruned by the sleep-set seen protocol
 	steals       int64 // nodes received over the handoff channel
@@ -122,7 +118,6 @@ type workerStats struct {
 // flush adds the accumulated statistics to the registry on the given
 // shard (the worker's index, so concurrent workers never contend).
 func (st *workerStats) flush(shard int) {
-	mStates.Add(shard, st.states)
 	mTransitions.Add(shard, st.transitions)
 	mSleepPrunes.Add(shard, st.sleepPrunes)
 	mSteals.Add(shard, st.steals)
@@ -153,7 +148,7 @@ func (w *workerCtx) newState() *state {
 
 func (w *workerCtx) putState(s *state) { w.freeStates = append(w.freeStates, s) }
 
-func (w *workerCtx) newNode(s *state, sleep, revisit uint32) *node {
+func (w *workerCtx) newNode(s *state, sleep uint32) *node {
 	var n *node
 	if l := len(w.freeNodes); l > 0 {
 		n = w.freeNodes[l-1]
@@ -162,7 +157,7 @@ func (w *workerCtx) newNode(s *state, sleep, revisit uint32) *node {
 	} else {
 		n = nodePool.Get().(*node)
 	}
-	*n = node{s: s, sleep: sleep, revisit: revisit}
+	*n = node{s: s, sleep: sleep}
 	return n
 }
 
@@ -274,6 +269,9 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	}
 	cfg = e.cfg
 	e.startSpill()
+	// The initial state enters the seen set like any other: it is counted,
+	// and a path that returns to it is pruned.
+	e.see(e.encode(init, nil), 0)
 	e.inflight.Store(1)
 	e.handoff <- &node{s: init}
 
@@ -326,6 +324,7 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	wg.Wait()
 	<-watchDone
 	e.finishSeen()
+	mStates.Add(0, e.seen.Load())
 	mSeenStates.Add(0, e.seen.Load())
 	if e.cfg.MemoryCap > 0 {
 		mMemHeadroom.Set(0, int64(e.cfg.MemoryCap)-maxMem.Load())
@@ -343,7 +342,7 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 	}
 	res := &StateSet{
 		Outcomes:  e.outcomes,
-		Visited:   e.visited.Load(),
+		Visited:   e.seen.Load(),
 		Truncated: e.truncated.Load(),
 	}
 	if res.Truncated {
@@ -378,7 +377,6 @@ func ExploreCtx(ctx context.Context, p *ir.Program, threadFns []string, cfg Conf
 			Mode:         cfg.Mode,
 			Visited:      res.Visited,
 			Frontier:     e.inflight.Load(),
-			Seen:         e.seen.Load(),
 			Elapsed:      elapsed,
 			StatesPerSec: rate,
 			Final:        true,
@@ -427,9 +425,10 @@ func (e *engine) worker(w *workerCtx) {
 }
 
 // TestHookExpand, when non-nil, runs at the top of every state expansion
-// with the running visited count — the chaos suite's seam for injecting a
-// worker panic mid-exploration. It executes inside expandSafe's recover
-// scope, once per state, outside the per-transition hot loop.
+// with the running count of distinct states — the chaos suite's seam for
+// injecting a worker panic mid-exploration. It executes inside
+// expandSafe's recover scope, once per expansion, outside the
+// per-transition hot loop.
 var TestHookExpand func(visited int64)
 
 // expandSafe isolates one state expansion: a panic anywhere below
@@ -445,7 +444,7 @@ func (e *engine) expandSafe(w *workerCtx, n *node) {
 		}
 	}()
 	if TestHookExpand != nil {
-		TestHookExpand(e.visited.Load())
+		TestHookExpand(e.seen.Load())
 	}
 	e.expand(w, n)
 }
@@ -460,18 +459,14 @@ func (e *engine) fail(err error) {
 }
 
 // expand explores one frontier node: records terminal outcomes, computes
-// the transition set to fire (persistent singleton, fresh sleep complement,
-// or revisit delta), executes each transition and enqueues the children
-// that survive the seen-set filter.
+// the transition set to fire (the persistent singleton, else every enabled
+// transition outside the sleep mask), executes each transition and
+// enqueues the children that survive the seen-set filter. A state is
+// expanded again only when its stored sleep mask narrows, and then by the
+// same rule.
 func (e *engine) expand(w *workerCtx, n *node) {
 	if e.truncated.Load() {
-		return // budget blown or failed: drain the frontier uncounted
-	}
-	v := e.visited.Add(1)
-	w.stats.states++
-	if v > e.cfg.MaxStates {
-		e.truncated.Store(true)
-		return
+		return // budget blown or failed: drain the frontier
 	}
 	s := n.s
 	if m := int64(len(s.mem)); m > w.stats.maxMem {
@@ -493,13 +488,9 @@ func (e *engine) expand(w *workerCtx, n *node) {
 
 	sleep := n.sleep & a.enabled
 	var T uint32
-	switch {
-	case n.revisit != 0:
-		T = n.revisit & a.enabled
-	case e.cfg.NoPOR:
-		T = a.enabled
-		sleep = 0
-	default:
+	if e.cfg.NoPOR {
+		T, sleep = a.enabled, 0
+	} else {
 		// Persistent singleton: an invisible, non-branching transition is
 		// independent of everything other threads can ever do before it
 		// runs, so it can be fired alone. Br/Jmp are excluded so that every
@@ -535,7 +526,8 @@ func (e *engine) expand(w *workerCtx, n *node) {
 			applyDrain(child, bit-MaxThreads)
 		}
 		// The child sleeps on every already-covered transition that
-		// commutes with the one just fired.
+		// commutes with the one just fired. Without reduction nothing
+		// sleeps, so no mask narrows and no state is expanded twice.
 		var childSleep uint32
 		for sb := 0; sb < 2*MaxThreads; sb++ {
 			if cur&(1<<uint(sb)) != 0 && indep(a, sb, bit) {
@@ -543,13 +535,15 @@ func (e *engine) expand(w *workerCtx, n *node) {
 			}
 		}
 		e.enqueue(w, child, childSleep)
-		cur |= tb
+		if !e.cfg.NoPOR {
+			cur |= tb
+		}
 	}
 }
 
 // enqueue runs the seen-set protocol for a freshly produced state and, if
-// it needs (re-)expansion, pushes it on the worker's frontier; pruned
-// states go back on the worker's freelist.
+// it needs expansion, pushes it on the worker's frontier; pruned states go
+// back on the worker's freelist.
 func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32) {
 	if e.truncated.Load() {
 		w.putState(s)
@@ -557,46 +551,58 @@ func (e *engine) enqueue(w *workerCtx, s *state, sleep uint32) {
 	}
 	w.encBuf = e.encode(s, w.encBuf)
 	w.stats.seenProbes++
-
-	var need bool
-	var revisit uint32
-	if e.cfg.ExactSeen {
-		sh := &e.shards[fnv1a(w.encBuf)%nShards]
-		sh.mu.Lock()
-		if sh.m == nil {
-			sh.m = make(map[string]uint32)
-		}
-		prev, seen := sh.m[string(w.encBuf)] // no-copy map probe
-		switch {
-		case !seen:
-			sh.m[string(w.encBuf)] = sleep
-			need = true
-		case prev&^sleep == 0:
-			// Already covered for a sleep set at least as permissive: prune.
-		default:
-			// Previously slept transitions wake up: expand just those.
-			sh.m[string(w.encBuf)] = prev & sleep
-			need, revisit = true, prev&^sleep
-		}
-		sh.mu.Unlock()
-	} else {
-		h := hash128(w.encBuf)
-		si := int(h.hi % nShards)
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		need, revisit = sh.visit(e, si, h, sleep)
-		sh.mu.Unlock()
-	}
-
-	if need {
-		if revisit == 0 {
-			e.seen.Add(1) // first sighting: the table grew by one state
-		}
+	if sleep, need := e.see(w.encBuf, sleep); need {
 		e.inflight.Add(1)
-		w.local = append(w.local, w.newNode(s, sleep, revisit))
+		w.local = append(w.local, w.newNode(s, sleep))
 	} else {
 		w.stats.sleepPrunes++
 		w.putState(s)
+	}
+}
+
+// see runs the seen-set protocol for a state with canonical encoding enc,
+// reached with the given sleep mask (Godefroid's sleep sets with state
+// matching). The seen set stores per state the intersection of every mask
+// it has been reached with. A state needs expansion when it is new or when
+// that stored mask narrows, and it is then expanded with the stored mask.
+// Masks only shrink and each shrink reaches every child, so the explored
+// graph is the least fixpoint of the mask equations: the same distinct
+// states in any order and at any worker count.
+func (e *engine) see(enc []byte, sleep uint32) (uint32, bool) {
+	if !e.cfg.ExactSeen {
+		h := hash128(enc)
+		si := int(h.hi % nShards)
+		sh := &e.shards[si]
+		sh.mu.Lock()
+		mask, need := sh.visit(e, si, h, sleep)
+		sh.mu.Unlock()
+		return mask, need
+	}
+	sh := &e.shards[fnv1a(enc)%nShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.m == nil {
+		sh.m = make(map[string]uint32)
+	}
+	prev, seen := sh.m[string(enc)] // no-copy map probe
+	switch {
+	case !seen:
+		e.admit()
+	case prev&^sleep == 0:
+		return prev, false // covered for a sleep set at least as permissive
+	default:
+		sleep &= prev
+	}
+	sh.m[string(enc)] = sleep
+	return sleep, true
+}
+
+// admit counts a state inserted into the seen set for the first time —
+// the count Visited reports — and truncates the exploration once that
+// count exceeds the state budget.
+func (e *engine) admit() {
+	if e.seen.Add(1) > e.cfg.MaxStates {
+		e.truncated.Store(true)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package mc is a parallel stateless model checker for the module's IR
+// Package mc is a parallel stateful model checker for the module's IR
 // running on the x86-TSO (or SC) machine of package tso. It is the
 // verification subsystem behind fenceplace.Certify: it enumerates every
 // reachable final state of a program under both memory models and decides
@@ -18,7 +18,14 @@
 //     pushes/pops) immediately without branching on other threads, and
 //     sleep sets prune commuting interleavings of the remaining visible
 //     transitions. Reduction preserves the reachable final-state set, which
-//     is the property certification compares;
+//     is the property certification compares. There is one expansion
+//     rule: fire the persistent singleton, else every enabled transition
+//     outside the state's sleep mask. The seen set stores per state the
+//     intersection of the masks it was reached with, and a state is
+//     expanded again, by the same rule, whenever that mask narrows. The
+//     explored graph is thus the least fixpoint of the mask equations, so
+//     the distinct states reached — the Visited count — depend only on the
+//     program and the configuration, never on the worker schedule;
 //
 //   - a sharded work-stealing worker pool: every worker owns a frontier
 //     stack and a shard of the seen set; surplus states are handed off to
@@ -59,7 +66,7 @@ var ErrTruncated = errors.New("mc: state budget exhausted, exploration truncated
 type Config struct {
 	Mode      tso.Mode
 	BufferCap int   // store buffer capacity (default 4)
-	MaxStates int64 // state budget; exceeded => Truncated (default 1<<21)
+	MaxStates int64 // distinct-state budget; exceeded => Truncated (default 1<<21)
 	Workers   int   // worker goroutines (default GOMAXPROCS)
 	NoPOR     bool  // disable partial-order reduction (cross-check oracle)
 
@@ -131,7 +138,7 @@ func (c Config) withDefaults() Config {
 // "!deadlock" for failing terminals).
 type StateSet struct {
 	Outcomes  map[string][]int64
-	Visited   int64
+	Visited   int64 // distinct states reached, the initial state included
 	Truncated bool
 }
 

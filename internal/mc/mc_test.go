@@ -205,7 +205,8 @@ func TestRandomProgramsDifferential(t *testing.T) {
 }
 
 // TestParallelWorkersAgree runs the same exploration at 1 worker and at
-// GOMAXPROCS workers and demands identical results.
+// GOMAXPROCS workers and demands identical results: outcomes and visit
+// count.
 func TestParallelWorkersAgree(t *testing.T) {
 	p := medium3()
 	seq, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: tso.TSO, Workers: 1})
@@ -217,6 +218,9 @@ func TestParallelWorkersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameKeys(t, "1 worker vs GOMAXPROCS", keySet(seq.Outcomes), keySet(par.Outcomes))
+	if seq.Visited != par.Visited {
+		t.Errorf("1 worker visited %d states, GOMAXPROCS visited %d", seq.Visited, par.Visited)
+	}
 	if len(seq.Outcomes) == 0 {
 		t.Fatal("no outcomes")
 	}

@@ -15,9 +15,8 @@ import (
 type Progress struct {
 	Program      string        // program under exploration
 	Mode         tso.Mode      // SC or TSO
-	Visited      int64         // states expanded so far
+	Visited      int64         // distinct states reached so far
 	Frontier     int64         // states enqueued and not yet expanded
-	Seen         int64         // distinct states in the seen set (est. table load)
 	Elapsed      time.Duration // since the exploration started
 	StatesPerSec float64       // averaged over the heartbeat window (whole run for Final)
 	Final        bool          // last event of this exploration
@@ -67,7 +66,7 @@ func (e *engine) heartbeat(pc progressCfg, start time.Time) {
 		case <-e.done:
 			return
 		case now := <-t.C:
-			v := e.visited.Load()
+			v := e.seen.Load()
 			window := now.Sub(lastT).Seconds()
 			var rate float64
 			if window > 0 {
@@ -79,7 +78,6 @@ func (e *engine) heartbeat(pc progressCfg, start time.Time) {
 				Mode:         e.cfg.Mode,
 				Visited:      v,
 				Frontier:     e.inflight.Load(),
-				Seen:         e.seen.Load(),
 				Elapsed:      now.Sub(start),
 				StatesPerSec: rate,
 			})

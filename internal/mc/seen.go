@@ -34,9 +34,10 @@ package mc
 //     runs newest-first, and a cold hit that narrows the stored mask
 //     re-inserts the narrowed mask into the hot tier, shadowing the stale
 //     run entry.
-//   - A corrupt spilled run is quarantined and treated as all-miss — a
-//     state is then re-explored (wasted work, same answers), never
-//     falsely pruned.
+//   - A corrupt spilled run is quarantined and its masks are lost. A
+//     probe whose filter entry points into it reads lostMask: the state
+//     is re-explored (wasted work, same answers), never falsely pruned,
+//     and not counted a second time.
 
 import (
 	"sort"
@@ -92,10 +93,10 @@ func seenBudget(cfg Config) (shardBudget int64, hotMax int) {
 }
 
 // seenShard is one shard of the global seen set. The value stored per
-// state is the sleep mask the state has been covered for: a state needs
-// re-expansion only when it is reached with a sleep set that is not a
-// superset of the stored mask, and then only for the previously-slept
-// transitions (Godefroid's sleep sets with state matching). States are
+// state is the sleep mask the state has been covered for: the
+// intersection of every mask it has been reached with (see engine.see). A
+// state needs another expansion only when it is reached with a sleep set
+// that is not a superset of the stored mask. States are
 // keyed by 128-bit fingerprints of their canonical encoding in the
 // two-level hot/cold structure above; the exact string-keyed mode (m)
 // survives behind Config.ExactSeen as a cross-checking oracle.
@@ -158,12 +159,12 @@ func hotTag(h h128) uint16 {
 	return t
 }
 
-// visit runs the sleep-set seen protocol for a state fingerprint against
-// the two-level structure: it returns whether the state needs
-// (re-)expansion and, for re-expansions, the mask of previously slept
-// transitions to fire. Must be called with sh.mu held. e and si are the
-// owning engine and shard index, for budget decisions and spill handoff.
-func (sh *seenShard) visit(e *engine, si int, h h128, sleep uint32) (need bool, revisit uint32) {
+// visit runs the sleep-set seen protocol of engine.see for a state
+// fingerprint against the two-level structure: it returns the state's
+// stored mask after the visit and whether the state needs expansion with
+// it. Must be called with sh.mu held. e and si are the owning engine and
+// shard index, for budget decisions and spill handoff.
+func (sh *seenShard) visit(e *engine, si int, h h128, sleep uint32) (uint32, bool) {
 	if h.hi == 0 && h.lo == 0 {
 		h.lo = 1
 	}
@@ -182,12 +183,11 @@ func (sh *seenShard) visit(e *engine, si int, h h128, sleep uint32) (need bool, 
 			en := &sh.entries[i]
 			if en.hi == h.hi && en.lo == h.lo {
 				sh.stHotHits++
-				prev := en.sleep
-				if prev&^sleep == 0 {
-					return false, 0 // covered for a sleep set at least as permissive
+				if en.sleep&^sleep == 0 {
+					return en.sleep, false // covered for a sleep set at least as permissive
 				}
-				en.sleep = prev & sleep
-				return true, prev &^ sleep
+				en.sleep &= sleep
+				return en.sleep, true
 			}
 		}
 		i = (i + 1) & mask
@@ -197,16 +197,18 @@ func (sh *seenShard) visit(e *engine, si int, h h128, sleep uint32) (need bool, 
 	if prev, ok := sh.coldLookup(e, si, h); ok {
 		sh.stColdHits++
 		if prev&^sleep == 0 {
-			return false, 0
+			return prev, false
 		}
 		// Narrow the mask by shadowing the (immutable) run entry in hot.
-		sh.hotInsert(e, si, h, prev&sleep)
-		return true, prev &^ sleep
+		sleep &= prev
+		sh.hotInsert(e, si, h, sleep)
+		return sleep, true
 	}
 
 	// First sighting.
+	e.admit()
 	sh.hotInsert(e, si, h, sleep)
-	return true, 0
+	return sleep, true
 }
 
 // hotInsert adds a fingerprint to the hot tier, growing or sealing as the
@@ -352,6 +354,16 @@ func (c *cuckoo) lookup(h h128, dst []uint16) []uint16 {
 	return dst
 }
 
+// lostMask is the mask coldLookup reports for a fingerprint whose filter
+// entry points into a quarantined run: the state was seen, but what its
+// expansion covered is gone, so it reads as expanded with every transition
+// asleep. No reachable sleep mask covers it (a child never sleeps on the
+// transitions of the thread that produced it), so the next arrival expands
+// the state again with its own mask, without counting it as new. A filter
+// collision with a quarantined entry can thus leave a new state uncounted,
+// never unexplored.
+const lostMask = ^uint32(0)
+
 // coldLookup probes the cold tier for h: presence filter first, then the
 // candidate runs newest-first (so the latest sealed mask for a fingerprint
 // shadows older ones).
@@ -371,14 +383,20 @@ func (sh *seenShard) coldLookup(e *engine, si int, h h128) (mask uint32, ok bool
 		}
 	}
 	prev := uint16(0xffff)
+	lost := false
 	for k, id := range ids {
 		if k > 0 && id == prev {
 			continue // both bucket slots of the same (fp, run) pair
 		}
 		prev = id
-		if m, found := sh.runFind(e, si, sh.runs[id], h); found {
+		r := sh.runs[id]
+		if m, found := sh.runFind(e, si, r, h); found {
 			return m, true
 		}
+		lost = lost || r.bad
+	}
+	if lost {
+		return lostMask, true
 	}
 	return 0, false
 }
@@ -434,8 +452,8 @@ func (c *cuckoo) tryInsert(h h128, id uint16, seed *uint64) bool {
 
 // filterRebuild regenerates the filter at the given slot count from the
 // shard's runs — the cold tier's ground truth. Runs that fail integrity
-// are skipped (their entries degrade to all-miss, consistent with every
-// other read of a quarantined run).
+// are skipped: their entries degrade to misses, so a state of such a run
+// is re-explored and counted again.
 func (sh *seenShard) filterRebuild(slots int) {
 	for {
 		sh.filter = cuckoo{slots: make([]uint32, slots)}

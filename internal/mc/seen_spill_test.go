@@ -22,10 +22,9 @@ var spillBudgets = []int64{1, 4 << 10, 1 << 20, -1}
 // seen set under forced spilling: across litmus programs and instrumented
 // corpus kernels, every spill budget — including the 1-byte budget that
 // seals on every insert — must reproduce exactly the outcome sets AND
-// visit counts of the exact string-keyed oracle. Visit counts are
-// compared at one worker, where the sleep-set protocol is deterministic;
-// a lost or stale sleep mask anywhere in the hot/cold/filter machinery
-// shows up as a drift here.
+// visit counts of the exact string-keyed oracle, at one and at four
+// workers; a lost or stale sleep mask anywhere in the hot/cold/filter
+// machinery shows up as a drift here.
 func TestTwoLevelSeenMatchesExactSeen(t *testing.T) {
 	type tc struct {
 		name    string
@@ -56,29 +55,31 @@ func TestTwoLevelSeenMatchesExactSeen(t *testing.T) {
 			}
 			for _, budget := range spillBudgets {
 				t.Run(fmt.Sprintf("%s/%s/budget=%d", c.name, mode, budget), func(t *testing.T) {
-					fp, err := Explore(c.prog, c.threads, Config{
-						Mode: mode, Workers: 1, SeenBudget: budget, SpillDir: spillDir,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fp.Truncated || exact.Truncated {
-						t.Fatal("exploration truncated")
-					}
-					sameKeys(t, "two-level vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
-					for k, vec := range exact.Outcomes {
-						got := fp.Outcomes[k]
-						if len(got) != len(vec) {
-							t.Fatalf("outcome %s: vector length %d vs %d", k, len(got), len(vec))
+					for _, workers := range []int{1, 4} {
+						fp, err := Explore(c.prog, c.threads, Config{
+							Mode: mode, Workers: workers, SeenBudget: budget, SpillDir: spillDir,
+						})
+						if err != nil {
+							t.Fatal(err)
 						}
-						for i := range vec {
-							if got[i] != vec[i] {
-								t.Fatalf("outcome %s: globals %v vs %v", k, got, vec)
+						if fp.Truncated || exact.Truncated {
+							t.Fatal("exploration truncated")
+						}
+						sameKeys(t, "two-level vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
+						for k, vec := range exact.Outcomes {
+							got := fp.Outcomes[k]
+							if len(got) != len(vec) {
+								t.Fatalf("outcome %s: vector length %d vs %d", k, len(got), len(vec))
+							}
+							for i := range vec {
+								if got[i] != vec[i] {
+									t.Fatalf("outcome %s: globals %v vs %v", k, got, vec)
+								}
 							}
 						}
-					}
-					if fp.Visited != exact.Visited {
-						t.Errorf("visit counts diverge: two-level %d, exact %d", fp.Visited, exact.Visited)
+						if fp.Visited != exact.Visited {
+							t.Errorf("%d workers: visit counts diverge: two-level %d, exact %d", workers, fp.Visited, exact.Visited)
+						}
 					}
 				})
 			}
@@ -95,29 +96,30 @@ func TestTwoLevelSeenMatchesExactSeenRandom(t *testing.T) {
 	progsByName := randomPrograms(20260807, 15)
 	for name, p := range progsByName {
 		for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
-			fp, err := Explore(p, []string{"t0", "t1"}, Config{
-				Mode: mode, Workers: 1, SeenBudget: 1, SpillDir: spillDir,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			exact, err := Explore(p, []string{"t0", "t1"}, Config{Mode: mode, Workers: 1, ExactSeen: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameKeys(t, fmt.Sprintf("%s/%s two-level vs exact", name, mode),
-				keySet(fp.Outcomes), keySet(exact.Outcomes))
-			if fp.Visited != exact.Visited {
-				t.Errorf("%s/%s: visit counts diverge: two-level %d, exact %d", name, mode, fp.Visited, exact.Visited)
+			for _, workers := range []int{1, 4} {
+				fp, err := Explore(p, []string{"t0", "t1"}, Config{
+					Mode: mode, Workers: workers, SeenBudget: 1, SpillDir: spillDir,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s/%s/workers=%d", name, mode, workers)
+				sameKeys(t, label+" two-level vs exact", keySet(fp.Outcomes), keySet(exact.Outcomes))
+				if fp.Visited != exact.Visited {
+					t.Errorf("%s: visit counts diverge: two-level %d, exact %d", label, fp.Visited, exact.Visited)
+				}
 			}
 		}
 	}
 }
 
 // TestTwoLevelSeenSpillsConcurrently re-runs one differential with the
-// full worker pool and a forcing budget: outcome sets (visit counts are
-// schedule-dependent under >1 workers) must survive concurrent sealing,
-// spilling and cold probing.
+// full worker pool and a forcing budget: outcome sets and the visit count
+// must survive concurrent sealing, spilling and cold probing.
 func TestTwoLevelSeenSpillsConcurrently(t *testing.T) {
 	p := medium3()
 	exact, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: tso.TSO, Workers: 1, ExactSeen: true})
@@ -131,6 +133,9 @@ func TestTwoLevelSeenSpillsConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameKeys(t, "concurrent two-level vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
+	if fp.Visited != exact.Visited {
+		t.Errorf("visit counts diverge: concurrent two-level %d, exact %d", fp.Visited, exact.Visited)
+	}
 }
 
 // testFP derives a deterministic fingerprint stream for the unit tests.
@@ -171,7 +176,7 @@ func TestHotProbeAllocFree(t *testing.T) {
 	i := 0
 	probe("hot hit", func() {
 		sh.mu.Lock()
-		if need, _ := sh.visit(e, 0, testFP(i%n), 0); need {
+		if _, need := sh.visit(e, 0, testFP(i%n), 0); need {
 			t.Fatal("present fingerprint reported unseen")
 		}
 		sh.mu.Unlock()
@@ -262,9 +267,10 @@ func TestSpilledProbeAllocFree(t *testing.T) {
 
 // TestSealPreservesSleepMasks drives the mask-narrowing protocol across a
 // seal boundary: a state first seen with a permissive sleep mask, sealed,
-// then revisited with a disjoint mask must wake exactly the previously
-// slept transitions and store the narrowed mask — the shadow-entry
-// discipline the differential tests rely on, checked here directly.
+// then reached with a mask that does not cover it must be expanded again
+// with the intersection of the two masks and store it — the shadow-entry
+// discipline the differential tests rely on, checked here directly. Only
+// the first sighting counts as a distinct state.
 func TestSealPreservesSleepMasks(t *testing.T) {
 	e := testEngine()
 	sh := &e.shards[0]
@@ -272,24 +278,27 @@ func TestSealPreservesSleepMasks(t *testing.T) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	if need, _ := sh.visit(e, 0, h, 0b1100); !need {
-		t.Fatal("first visit pruned")
+	if mask, need := sh.visit(e, 0, h, 0b1100); !need || mask != 0b1100 {
+		t.Fatalf("first visit: need=%v mask=%04b, want true 1100", need, mask)
 	}
 	sh.seal(e, 0)
-	// Covered: sleep ⊇ stored is false here — stored 1100, probe 0100 is a
-	// subset, so prev&^sleep = 1000 must wake.
-	need, revisit := sh.visit(e, 0, h, 0b0100)
-	if !need || revisit != 0b1000 {
-		t.Fatalf("post-seal revisit: need=%v revisit=%04b, want true 1000", need, revisit)
+	// Stored 1100, probe 0110: bit 1000 is no longer slept, so the state
+	// is expanded again with the intersection 0100.
+	mask, need := sh.visit(e, 0, h, 0b0110)
+	if !need || mask != 0b0100 {
+		t.Fatalf("post-seal narrowing: need=%v mask=%04b, want true 0100", need, mask)
 	}
 	// The narrowed mask (0100) now lives in the hot shadow; a probe with
-	// 0100 is covered, a probe with 0000 wakes the remaining bit.
-	if need, _ := sh.visit(e, 0, h, 0b0100); need {
-		t.Fatal("narrowed mask not honored: probe with equal sleep re-expanded")
+	// 0110 is covered, a probe with 0000 narrows it again.
+	if _, need := sh.visit(e, 0, h, 0b0110); need {
+		t.Fatal("narrowed mask not honored: covered probe re-expanded")
 	}
-	need, revisit = sh.visit(e, 0, h, 0)
-	if !need || revisit != 0b0100 {
-		t.Fatalf("final narrowing: need=%v revisit=%04b, want true 0100", need, revisit)
+	mask, need = sh.visit(e, 0, h, 0)
+	if !need || mask != 0 {
+		t.Fatalf("final narrowing: need=%v mask=%04b, want true 0000", need, mask)
+	}
+	if n := e.seen.Load(); n != 1 {
+		t.Errorf("one state counted %d times", n)
 	}
 }
 
@@ -311,7 +320,7 @@ func TestFilterRebuildKeepsEverything(t *testing.T) {
 		t.Fatalf("forced sealing produced only %d runs for %d states", len(sh.runs), n)
 	}
 	for i := 0; i < n; i++ {
-		if need, _ := sh.visit(e, 0, testFP(i), 0); need {
+		if _, need := sh.visit(e, 0, testFP(i), 0); need {
 			t.Fatalf("fingerprint %d lost across %d runs and filter rebuilds", i, len(sh.runs))
 		}
 	}

@@ -13,9 +13,9 @@ import (
 // seen-set: across the litmus corpus and instrumented (expert-fenced)
 // corpus kernels, exploration keyed by 128-bit fingerprints must produce
 // exactly the outcome set and visit count of exploration keyed by full
-// canonical encodings. Visit counts are compared at one worker, where the
-// sleep-set protocol is deterministic; any fingerprint collision would
-// merge distinct states and show up as a visit-count or outcome drift.
+// canonical encodings, at one and at four workers; any fingerprint
+// collision would merge distinct states and show up as a visit-count or
+// outcome drift.
 func TestFingerprintMatchesExactSeen(t *testing.T) {
 	type tc struct {
 		name    string
@@ -40,31 +40,33 @@ func TestFingerprintMatchesExactSeen(t *testing.T) {
 	for _, c := range cases {
 		for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
 			t.Run(fmt.Sprintf("%s/%s", c.name, mode), func(t *testing.T) {
-				fp, err := Explore(c.prog, c.threads, Config{Mode: mode, Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				exact, err := Explore(c.prog, c.threads, Config{Mode: mode, Workers: 1, ExactSeen: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fp.Truncated || exact.Truncated {
-					t.Fatal("exploration truncated")
-				}
-				sameKeys(t, "fingerprint vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
-				for k, vec := range exact.Outcomes {
-					got := fp.Outcomes[k]
-					if len(got) != len(vec) {
-						t.Fatalf("outcome %s: vector length %d vs %d", k, len(got), len(vec))
+				for _, workers := range []int{1, 4} {
+					fp, err := Explore(c.prog, c.threads, Config{Mode: mode, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
 					}
-					for i := range vec {
-						if got[i] != vec[i] {
-							t.Fatalf("outcome %s: globals %v vs %v", k, got, vec)
+					exact, err := Explore(c.prog, c.threads, Config{Mode: mode, Workers: workers, ExactSeen: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fp.Truncated || exact.Truncated {
+						t.Fatal("exploration truncated")
+					}
+					sameKeys(t, "fingerprint vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
+					for k, vec := range exact.Outcomes {
+						got := fp.Outcomes[k]
+						if len(got) != len(vec) {
+							t.Fatalf("outcome %s: vector length %d vs %d", k, len(got), len(vec))
+						}
+						for i := range vec {
+							if got[i] != vec[i] {
+								t.Fatalf("outcome %s: globals %v vs %v", k, got, vec)
+							}
 						}
 					}
-				}
-				if fp.Visited != exact.Visited {
-					t.Errorf("visit counts diverge: fingerprint %d, exact %d", fp.Visited, exact.Visited)
+					if fp.Visited != exact.Visited {
+						t.Errorf("%d workers: visit counts diverge: fingerprint %d, exact %d", workers, fp.Visited, exact.Visited)
+					}
 				}
 			})
 		}
@@ -78,18 +80,20 @@ func TestFingerprintMatchesExactSeenRandom(t *testing.T) {
 	progsByName := randomPrograms(20260729, 25)
 	for name, p := range progsByName {
 		for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
-			fp, err := Explore(p, []string{"t0", "t1"}, Config{Mode: mode, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact, err := Explore(p, []string{"t0", "t1"}, Config{Mode: mode, Workers: 1, ExactSeen: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameKeys(t, fmt.Sprintf("%s/%s fingerprint vs exact", name, mode),
-				keySet(fp.Outcomes), keySet(exact.Outcomes))
-			if fp.Visited != exact.Visited {
-				t.Errorf("%s/%s: visit counts diverge: fingerprint %d, exact %d", name, mode, fp.Visited, exact.Visited)
+			for _, workers := range []int{1, 4} {
+				fp, err := Explore(p, []string{"t0", "t1"}, Config{Mode: mode, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact, err := Explore(p, []string{"t0", "t1"}, Config{Mode: mode, Workers: workers, ExactSeen: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s/%s/workers=%d", name, mode, workers)
+				sameKeys(t, label+" fingerprint vs exact", keySet(fp.Outcomes), keySet(exact.Outcomes))
+				if fp.Visited != exact.Visited {
+					t.Errorf("%s: visit counts diverge: fingerprint %d, exact %d", label, fp.Visited, exact.Visited)
+				}
 			}
 		}
 	}

@@ -11,9 +11,9 @@ package mc
 // framing and then drop the in-RAM blob, leaving only the index. A probe
 // of a spilled run reads exactly one block back with ReadAt into a
 // per-shard scratch buffer — no allocation, no mmap dependency. Integrity
-// failures quarantine the file and mark the run bad: every subsequent
-// probe of a bad run misses, so corruption can re-explore states but can
-// never fabricate a "seen".
+// failures quarantine the file and mark the run bad: no probe reads a bad
+// run's bytes again, so corruption can re-explore states (see lostMask)
+// but can never prune one.
 
 import (
 	"encoding/binary"
@@ -112,7 +112,7 @@ func (sh *seenShard) blockBytes(e *engine, si int, r *run, b int) ([]byte, bool)
 }
 
 // openRun verifies and opens a spilled run's file. A run that fails
-// verification is quarantined and marked bad — treated as all-miss from
+// verification is quarantined and marked bad — never read from
 // then on, mirroring the baseline store's corruption discipline.
 func (sh *seenShard) openRun(e *engine, si int, r *run) bool {
 	f, _, err := e.spill.OpenRun(r.path)

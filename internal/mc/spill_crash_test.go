@@ -84,9 +84,10 @@ var corruptions = []struct {
 }
 
 // TestCorruptSpilledRunQuarantines damages a spilled run in every mode and
-// checks the contract: all probes miss (never a false "seen"), the run is
-// marked bad exactly once, and — when the file still exists — it lands in
-// the spill root's quarantine directory for post-mortem.
+// checks the contract: every probe reads lostMask (seen, but covered for
+// nothing, so never pruned), the run is marked bad exactly once, and —
+// when the file still exists — it lands in the spill root's quarantine
+// directory for post-mortem.
 func TestCorruptSpilledRunQuarantines(t *testing.T) {
 	const n = 2000
 	for _, c := range corruptions {
@@ -97,8 +98,8 @@ func TestCorruptSpilledRunQuarantines(t *testing.T) {
 
 			sh.mu.Lock()
 			for i := 0; i < n; i++ {
-				if _, ok := sh.coldLookup(e, 0, testFP(i)); ok {
-					t.Fatalf("probe %d: corrupt run answered \"seen\"", i)
+				if m, ok := sh.coldLookup(e, 0, testFP(i)); !ok || m != lostMask {
+					t.Fatalf("probe %d: corrupt run answered mask %x (ok=%v), want lostMask", i, m, ok)
 				}
 			}
 			if !r.bad {
@@ -108,12 +109,13 @@ func TestCorruptSpilledRunQuarantines(t *testing.T) {
 				t.Errorf("quarantine count %d, want 1", sh.stQuarantines)
 			}
 			// The visit protocol downgrades the loss to re-exploration: the
-			// state reads as fresh, gets re-inserted hot, and is pruned on the
-			// next encounter — exactly a cache miss, never wrong pruning.
-			if need, revisit := sh.visit(e, 0, testFP(0), 0); !need || revisit != 0 {
-				t.Fatalf("post-corruption visit: need=%v revisit=%d, want fresh insert", need, revisit)
+			// state is expanded again with the arriving mask, re-inserted hot,
+			// and pruned on the next encounter — never wrong pruning, and
+			// not a second distinct state.
+			if mask, need := sh.visit(e, 0, testFP(0), 0b0100); !need || mask != 0b0100 || e.seen.Load() != n {
+				t.Fatalf("post-corruption visit: need=%v mask=%04b seen=%d, want re-expansion with 0100, %d states", need, mask, e.seen.Load(), n)
 			}
-			if need, _ := sh.visit(e, 0, testFP(0), 0); need {
+			if _, need := sh.visit(e, 0, testFP(0), 0b0100); need {
 				t.Fatal("re-inserted state not found hot")
 			}
 			sh.mu.Unlock()
@@ -172,6 +174,7 @@ func TestCorruptSpillDuringExploration(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameKeys(t, "corrupted-spill vs exact outcomes", keySet(fp.Outcomes), keySet(exact.Outcomes))
-	// Visit counts are NOT compared: quarantined runs legitimately cause
-	// re-exploration. Outcomes must still be exact.
+	// Visit counts are NOT compared: a filter rebuild drops a quarantined
+	// run's entries, and their states then count again. Outcomes must
+	// still be exact.
 }

@@ -2,63 +2,74 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"fenceplace/internal/ir"
 	"fenceplace/internal/telemetry"
 	"fenceplace/internal/tso"
 )
 
 // TestExploreMetricsMatchResult checks the registry counters against the
-// exploration's own figures: the states_visited delta must equal
-// res.Visited exactly (the acceptance contract of the -metrics dump), the
-// run counters must advance by one per exploration, and the structural
-// counters must be self-consistent.
+// exploration's own figures at 1, 2 and 8 workers: the states_visited and
+// seen_states deltas must equal res.Visited exactly (the acceptance
+// contract of the -metrics dump), the run counters must advance by one per
+// exploration, and the structural counters must be self-consistent.
 func TestExploreMetricsMatchResult(t *testing.T) {
 	p := medium3()
 	for _, mode := range []tso.Mode{tso.TSO, tso.SC} {
 		t.Run(mode.String(), func(t *testing.T) {
-			states0 := mStates.Value()
-			runs0 := mExploreRuns.Value()
-			scRuns0 := mSCExploreRuns.Value()
-			trans0 := mTransitions.Value()
-			probes0 := mSeenProbes.Value()
-			seen0 := mSeenStates.Value()
-
-			res, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: mode, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if d := mStates.Value() - states0; d != res.Visited {
-				t.Errorf("mc.states_visited advanced by %d, exploration reports %d", d, res.Visited)
-			}
-			if d := mExploreRuns.Value() - runs0; d != 1 {
-				t.Errorf("mc.explore_runs advanced by %d, want 1", d)
-			}
-			wantSC := int64(0)
-			if mode == tso.SC {
-				wantSC = 1
-			}
-			if d := mSCExploreRuns.Value() - scRuns0; d != wantSC {
-				t.Errorf("mc.sc_explore_runs advanced by %d, want %d", d, wantSC)
-			}
-			// Every visited state beyond the root arrived by executing a
-			// transition, and every executed transition was probed against
-			// the seen set.
-			trans := mTransitions.Value() - trans0
-			if trans < res.Visited-1 {
-				t.Errorf("mc.transitions_executed %d < visited-1 (%d)", trans, res.Visited-1)
-			}
-			if probes := mSeenProbes.Value() - probes0; probes != trans {
-				t.Errorf("mc.seen_probes %d != transitions %d (each child is probed exactly once)", probes, trans)
-			}
-			seen := mSeenStates.Value() - seen0
-			if seen <= 0 || seen > res.Visited {
-				t.Errorf("mc.seen_states delta %d out of range (visited %d)", seen, res.Visited)
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					exploreMetricsMatch(t, p, mode, workers)
+				})
 			}
 		})
+	}
+}
+
+// exploreMetricsMatch runs one exploration of p and checks the registry
+// deltas it caused against its result.
+func exploreMetricsMatch(t *testing.T, p *ir.Program, mode tso.Mode, workers int) {
+	states0 := mStates.Value()
+	runs0 := mExploreRuns.Value()
+	scRuns0 := mSCExploreRuns.Value()
+	trans0 := mTransitions.Value()
+	probes0 := mSeenProbes.Value()
+	seen0 := mSeenStates.Value()
+
+	res, err := Explore(p, []string{"t0", "t1", "t2"}, Config{Mode: mode, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if d := mStates.Value() - states0; d != res.Visited {
+		t.Errorf("mc.states_visited advanced by %d, exploration reports %d", d, res.Visited)
+	}
+	if d := mExploreRuns.Value() - runs0; d != 1 {
+		t.Errorf("mc.explore_runs advanced by %d, want 1", d)
+	}
+	wantSC := int64(0)
+	if mode == tso.SC {
+		wantSC = 1
+	}
+	if d := mSCExploreRuns.Value() - scRuns0; d != wantSC {
+		t.Errorf("mc.sc_explore_runs advanced by %d, want %d", d, wantSC)
+	}
+	// Every visited state beyond the root arrived by executing a
+	// transition, and every executed transition was probed against
+	// the seen set.
+	trans := mTransitions.Value() - trans0
+	if trans < res.Visited-1 {
+		t.Errorf("mc.transitions_executed %d < visited-1 (%d)", trans, res.Visited-1)
+	}
+	if probes := mSeenProbes.Value() - probes0; probes != trans {
+		t.Errorf("mc.seen_probes %d != transitions %d (each child is probed exactly once)", probes, trans)
+	}
+	if d := mSeenStates.Value() - seen0; d != res.Visited {
+		t.Errorf("mc.seen_states advanced by %d, exploration reports %d", d, res.Visited)
 	}
 }
 
@@ -111,7 +122,7 @@ func TestProgressHeartbeat(t *testing.T) {
 	if last.Program != p.Name || last.Mode != tso.TSO {
 		t.Errorf("final event misattributed: %+v", last)
 	}
-	if last.Seen <= 0 || last.Elapsed <= 0 {
+	if last.Visited <= 0 || last.Elapsed <= 0 {
 		t.Errorf("final event missing figures: %+v", last)
 	}
 	prev := int64(-1)

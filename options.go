@@ -14,9 +14,6 @@ import (
 // are simply ignored by it — WithTiming has no effect on a certification,
 // WithMaxStates none on static analysis — so one resolved option list can
 // drive a whole pipeline.
-//
-// Every knob of the deprecated CertOptions struct has an Option
-// counterpart; CertOptions.Options converts.
 type Option func(*config)
 
 // config is the resolved form of an option list. The zero value selects
@@ -28,10 +25,8 @@ type config struct {
 	timing  bool // Results carry per-pass wall times
 
 	maxStates int64 // model-checker state budget per exploration
-	bufferCap int   // modeled TSO store-buffer capacity
 	memoryCap int   // model-checker arena limit in words
 	exactSeen bool  // exact string-keyed seen sets (oracle mode)
-	noPOR     bool  // disable partial-order reduction (oracle mode)
 
 	cacheDir    string // persistent baseline store directory ("" = none)
 	cacheDirSet bool   // WithCacheDir was given; skip the env default
@@ -75,11 +70,9 @@ func (c config) mcConfig() mc.Config {
 	return mc.Config{
 		MaxStates: c.maxStates,
 		Workers:   c.workers,
-		BufferCap: c.bufferCap,
 		MemoryCap: c.memoryCap,
 		SpillDir:  c.spillDir,
 		ExactSeen: c.exactSeen,
-		NoPOR:     c.noPOR,
 		FS:        c.faultFS,
 		IORetries: c.ioRetries,
 	}
@@ -107,9 +100,9 @@ func WithCacheDir(dir string) Option {
 	return func(c *config) { c.cacheDir, c.cacheDirSet = dir, true }
 }
 
-// WithMaxStates bounds each model-checker exploration to n states; an
-// exceeded budget surfaces as an error wrapping ErrTruncated, never as a
-// verdict. n <= 0 means the checker's default (2M states).
+// WithMaxStates bounds each model-checker exploration to n distinct
+// states; an exceeded budget surfaces as an error wrapping ErrTruncated,
+// never as a verdict. n <= 0 means the checker's default (2M states).
 func WithMaxStates(n int64) Option {
 	return func(c *config) { c.maxStates = n }
 }
@@ -118,17 +111,6 @@ func WithMaxStates(n int64) Option {
 // sets — the slow cross-checking oracle for the fingerprint tables.
 func WithExactSeen() Option {
 	return func(c *config) { c.exactSeen = true }
-}
-
-// WithNoPOR disables partial-order reduction — the cross-checking oracle
-// for the reduced exploration.
-func WithNoPOR() Option {
-	return func(c *config) { c.noPOR = true }
-}
-
-// WithBufferCap sets the modeled TSO store-buffer capacity (default 4).
-func WithBufferCap(n int) Option {
-	return func(c *config) { c.bufferCap = n }
 }
 
 // WithMemoryCap sets the model checker's memory budget: the per-state

@@ -108,28 +108,3 @@ func TestCertifyCtxInheritsAnalyzerOptions(t *testing.T) {
 		t.Error("explicit WithMaxStates(16) did not override the analyzer's budget")
 	}
 }
-
-// TestCertOptionsAdapter pins the deprecated struct's equivalence to the
-// option path: the same exploration configuration and the same cache
-// directory resolution.
-func TestCertOptionsAdapter(t *testing.T) {
-	t.Setenv("FENCEPLACE_CACHE_DIR", "")
-	m := progs.ByName("dekker")
-	pp := m.Defaults
-	pp.Threads = 2
-	pp.Size = 1
-	az := fenceplace.NewAnalyzer(m.Build(pp))
-	res := az.Analyze(fenceplace.Control)
-
-	old, err := fenceplace.CertifyOpt(res, nil, fenceplace.CertOptions{MaxStates: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := fenceplace.CertifyCtx(context.Background(), res, nil, fenceplace.WithMaxStates(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Equivalent != neu.Equivalent || old.VisitedTSO != neu.VisitedTSO || old.VisitedSC != neu.VisitedSC {
-		t.Errorf("CertOptions adapter and option path disagree: %+v vs %+v", old, neu)
-	}
-}

@@ -31,10 +31,9 @@ type ProgressEvent struct {
 
 	// Exploration heartbeats (Kind == ProgressExplore):
 	Mode         string  // "SC" or "TSO"
-	States       int64   // states expanded so far
+	States       int64   // distinct states reached so far
 	StatesPerSec float64 // throughput over the heartbeat window
 	Frontier     int64   // states enqueued and not yet expanded
-	SeenStates   int64   // distinct states in the seen set (est. table load)
 	Final        bool    // closing event of this exploration, totals exact
 
 	// Corpus rows (Kind == ProgressRow):
@@ -93,7 +92,6 @@ func (c config) exploreCtx(ctx context.Context) context.Context {
 			States:       p.Visited,
 			StatesPerSec: p.StatesPerSec,
 			Frontier:     p.Frontier,
-			SeenStates:   p.Seen,
 			Final:        p.Final,
 		})
 	})
